@@ -1,7 +1,7 @@
 // perfbench: the repository benchmark's binary. run.py builds it
 // and calls one phase per process:
 //
-//   perfbench setup   --workload W --seed N --dir D --out F [--reps R]
+//   perfbench setup   --workload W --seed N --dir D --out F
 //   perfbench measure --workload W --seed N --dir D --out F --seconds S
 //   perfbench trace   --workload W --seed N --dir D --out F --seconds S
 //
@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   flags.define("dir", "", "directory holding the workload's input files");
   flags.define("out", "", "where the phase writes its JSON document");
   flags.define("seconds", "10", "measured time (measure, trace)");
-  flags.define("reps", "3", "set-up repetitions");
   flags.define("scale", "0", "override of the workload's scale (> 0)");
   if (!flags.parse(argc - 1, argv + 1)) return 2;
 
@@ -37,7 +36,6 @@ int main(int argc, char** argv) {
   try {
     o.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
     o.seconds = flags.get_double("seconds");
-    o.reps = static_cast<std::size_t>(flags.get_int("reps"));
     o.scale = flags.get_double("scale");
   } catch (const std::exception&) {
     std::fprintf(stderr, "perfbench: numeric flag expected\n");

@@ -29,7 +29,6 @@ struct RunOptions {
   std::string out;        ///< the phase's JSON document
   double seconds = 10.0;  ///< measured time (measure/trace)
   double scale = 0.0;     ///< > 0 overrides the workload's scale (tests)
-  std::size_t reps = 3;   ///< set-up repetitions
 };
 
 int run_setup(const RunOptions& o);

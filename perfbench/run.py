@@ -4,7 +4,8 @@
     python3 perfbench/run.py --workload wvu_week_clf --seed 1 --seconds 10 --trace 0
 
 Builds the perfbench binary from the checkout's sources (CMake, Release,
-into $CARGO_TARGET_DIR or .bench_build), then runs three processes: set-up
+into a tree under $CARGO_TARGET_DIR or .bench_build that is keyed by the
+checkout's path and a hash of its sources), then runs three processes: set-up
 (the workload's input file, made from the seed, several times), and either
 the untraced measured phase (--trace 0: the end-to-end metrics) or the
 traced phase (--trace 1: the per-layer metrics). Metric names and units come
@@ -17,6 +18,7 @@ build exits 2 without a result. README.md in this directory explains the
 workloads and metrics.
 """
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -28,7 +30,6 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETUP_REPS = 3
 PHASE_GRACE_S = 60  # beyond --seconds, before a phase counts as hung
 MIN_BEYOND = 10  # samples a reported percentile must have beyond it
 
@@ -111,10 +112,10 @@ def end_to_end_values(setup, measure):
 
 def per_layer_values(trace, declared):
     """Median over traced passes of each per-layer metric, and the untraced
-    snapshot latency percentiles pooled over passes, with the errors of any
-    that cannot be reported. A layer the workload does not exercise
-    reports 0."""
-    errors = []
+    snapshot latency percentiles pooled over passes. Also returns the checks
+    made here, as a list of error messages or None (one per check). A layer
+    the workload does not exercise reports 0."""
+    checks = []
     passes = trace["passes"]
     if not passes:
         raise BenchError("the traced phase recorded no passes")
@@ -125,18 +126,38 @@ def per_layer_values(trace, declared):
         values["online.snapshot_p50_ms"], _ = nearest_rank(snaps, 50.0)
         values["online.snapshot_p99_ms"], beyond = nearest_rank(snaps, 99.0)
         values["online.snapshots"] = len(snaps)
-        if beyond < MIN_BEYOND:
-            errors.append("only %d snapshot samples beyond p99" % beyond)
+        checks.append("only %d snapshot samples beyond p99" % beyond
+                      if beyond < MIN_BEYOND else None)
     unknown = {k for p in passes for k in p} - set(declared)
     if unknown:
         raise BenchError("undeclared per-layer metrics %s" % sorted(unknown))
-    return values, errors
+    return values, checks
+
+
+def source_fingerprint(root):
+    """Hash of the files the perfbench binary is built from: src/, cmake/
+    and perfbench/ under `root`, paths included, without the Python scripts
+    and docs. It keys the build tree and the recorded digests, so neither
+    carries over to other sources."""
+    h = hashlib.sha256()
+    for top in ("src", "cmake", "perfbench"):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+            for name in sorted(filenames):
+                if name.endswith((".py", ".md")):
+                    continue
+                path = os.path.join(dirpath, name)
+                h.update(os.path.relpath(path, root).encode() + b"\0")
+                with open(path, "rb") as f:
+                    h.update(hashlib.sha256(f.read()).digest())
+    return h.hexdigest()[:16]
 
 
 def check_digest(store_path, key, digest):
-    """Compares a run's output digest with the one recorded for the same
-    workload, seed and scale by earlier runs of this checkout (recording it
-    when new). Returns an error message or None."""
+    """Compares a run's output digest with the one recorded under `key` by
+    earlier runs (recording it when new). The key names the source
+    fingerprint, workload, seed and scale, so only runs of the same code and
+    input are compared. Returns an error message or None."""
     store = {}
     if os.path.exists(store_path):
         with open(store_path) as f:
@@ -152,17 +173,16 @@ def check_digest(store_path, key, digest):
     return None
 
 
-def build(build_dir):
-    if not os.path.exists(os.path.join(ROOT, "src", "CMakeLists.txt")):
-        raise BenchError("no library sources under %s" % ROOT)
-    if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
-        subprocess.run(["cmake", "-S", HERE, "-B", build_dir,
+def build(tree):
+    """Configures (once) and builds the binary in `tree`."""
+    if not os.path.exists(os.path.join(tree, "CMakeCache.txt")):
+        subprocess.run(["cmake", "-S", HERE, "-B", tree,
                         "-DCMAKE_BUILD_TYPE=Release"],
                        stdout=sys.stderr, check=True)
-    subprocess.run(["cmake", "--build", build_dir, "--target", "perfbench",
+    subprocess.run(["cmake", "--build", tree, "--target", "perfbench",
                     "-j", str(os.cpu_count() or 1)],
                    stdout=sys.stderr, check=True)
-    return os.path.join(build_dir, "perfbench")
+    return os.path.join(tree, "perfbench")
 
 
 def run_phase(binary, phase, args, out, timeout):
@@ -188,19 +208,26 @@ def main(argv):
         raise BenchError("cannot read BENCHMARK.json: %s" % e)
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         raise BenchError("unknown workload %r" % args.workload)
+    if not os.path.exists(os.path.join(ROOT, "src", "CMakeLists.txt")):
+        raise BenchError("no library sources under %s" % ROOT)
     build_dir = os.path.abspath(os.environ.get("CARGO_TARGET_DIR", ".bench_build"))
+    fingerprint = source_fingerprint(ROOT)
+    # One tree per checkout path and source state: CMake trees are bound to
+    # their source path, and a tree is never rebuilt from other sources.
+    tree = os.path.join(build_dir, "perfbench-" + hashlib.sha256(
+        ("%s\0%s" % (ROOT, fingerprint)).encode()).hexdigest()[:16])
     try:
-        binary = build(build_dir)
+        binary = build(tree)
     except subprocess.CalledProcessError as e:
         raise BenchError("build failed: %s" % e)
 
-    work = os.path.join(build_dir, "perfbench-work", args.workload)
+    work = os.path.join(tree, "work", args.workload)
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
     common = ["--workload", args.workload, "--seed", str(args.seed),
               "--dir", work, "--scale", repr(args.scale)]
     try:
-        setup = run_phase(binary, "setup", common + ["--reps", str(SETUP_REPS)],
+        setup = run_phase(binary, "setup", common,
                           os.path.join(work, "setup.json"), PHASE_GRACE_S)
         phase = "trace" if args.trace else "measure"
         doc = run_phase(binary, phase, common + ["--seconds", repr(args.seconds)],
@@ -214,28 +241,28 @@ def main(argv):
     if not stamp["ndebug"] or stamp["build_type"] == "Debug":
         raise BenchError("refusing to record from a %s build" % stamp["build_type"])
 
-    errors = list(doc["errors"])
+    checks = []  # the checks made here: an error message or None each
     if args.trace:
         declared = {m["name"]: m["unit"] for m in spec["per_layer"]}
-        values, value_errors = per_layer_values(doc, declared)
-        errors += value_errors
+        values, checks = per_layer_values(doc, declared)
     else:
         declared = {m["name"]: m["unit"] for m in spec["end_to_end"]}
         values = end_to_end_values(setup, doc)
-    digest_error = check_digest(
+    checks.append(check_digest(
         os.path.join(build_dir, "perfbench-digests.json"),
-        "%s/seed=%d/scale=%r" % (args.workload, args.seed, args.scale),
-        doc["digest"])
-    if digest_error:
-        errors.append(digest_error)
-    failed = doc["failed"] + (len(errors) - len(doc["errors"]))
-    attempted = max(1, doc["attempted"])
+        "%s/%s/seed=%d/scale=%r" % (fingerprint, args.workload, args.seed,
+                                    args.scale),
+        doc["digest"]))
+    errors = doc["errors"] + [c for c in checks if c]
+    attempted = doc["attempted"] + len(checks)
+    failed = doc["failed"] + sum(1 for c in checks if c)
     result = result_line(not errors and failed == 0, attempted, failed,
                          values, declared)
 
     record = {
         "workload": args.workload, "seed": args.seed, "trace": args.trace,
         "seconds": args.seconds, "scale": doc["scale"],
+        "source_fingerprint": fingerprint,
         "executor_width": doc["executor_width"], "build": stamp,
         "fixture": setup["fixture"], "digest": doc["digest"], "errors": errors,
     }
@@ -249,7 +276,7 @@ def main(argv):
         record["snapshot_tail"] = {"percentile": tail[0], "value_ms": tail[1],
                                    "beyond": tail[2],
                                    "samples": len(doc["snapshot_ms"])}
-    results = os.path.join(build_dir, "perfbench-results")
+    results = os.path.join(tree, "results")
     os.makedirs(results, exist_ok=True)
     with open(os.path.join(results, "%s-seed%d-trace%d.json" % (
             args.workload, args.seed, args.trace)), "w") as f:

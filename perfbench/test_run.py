@@ -70,14 +70,18 @@ class Helpers(unittest.TestCase):
                     "online.snapshot_p99_ms": "ms", "online.snapshots": "count"}
         trace = {"passes": [{"x_s": 1.0}, {"x_s": 3.0}, {"x_s": 2.0}],
                  "snapshot_ms": []}
-        values, errors = run.per_layer_values(trace, declared)
+        values, checks = run.per_layer_values(trace, declared)
         self.assertEqual(values["x_s"], 2.0)
         self.assertEqual(values["y"], 0.0)
-        self.assertEqual(errors, [])
+        self.assertEqual(checks, [])  # no snapshots, no check
+        trace["snapshot_ms"] = [float(i) for i in range(1000)]
+        values, checks = run.per_layer_values(trace, declared)
+        self.assertEqual(values["online.snapshots"], 1000)
+        self.assertEqual(checks, [None])
         trace["snapshot_ms"] = [float(i) for i in range(100)]
-        values, errors = run.per_layer_values(trace, declared)
-        self.assertEqual(values["online.snapshots"], 100)
-        self.assertEqual(len(errors), 1)  # p99 of 100 samples has 1 beyond
+        values, checks = run.per_layer_values(trace, declared)
+        self.assertEqual(len(checks), 1)  # p99 of 100 samples has 1 beyond
+        self.assertIn("beyond p99", checks[0])
         trace["passes"][0]["z"] = 1.0
         with self.assertRaises(run.BenchError):
             run.per_layer_values(trace, declared)
@@ -89,6 +93,32 @@ class Helpers(unittest.TestCase):
             self.assertIsNone(run.check_digest(store, "w/1", "aa"))
             self.assertIsNone(run.check_digest(store, "w/2", "bb"))
             self.assertIn("differs", run.check_digest(store, "w/1", "ab"))
+
+    def test_changed_sources_get_their_own_digests(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            for top in ("src", "cmake", "perfbench"):
+                os.makedirs(os.path.join(tmp, top))
+                with open(os.path.join(tmp, top, "a.cpp"), "w") as f:
+                    f.write("int a;\n")
+            before = run.source_fingerprint(tmp)
+            self.assertEqual(run.source_fingerprint(tmp), before)
+            os.makedirs(os.path.join(tmp, "perfbench", "__pycache__"))
+            with open(os.path.join(tmp, "perfbench", "__pycache__", "x.pyc"), "w") as f:
+                f.write("ignored")
+            for doc in ("README.md", os.path.join("perfbench", "README.md"),
+                        os.path.join("perfbench", "run.py")):
+                with open(os.path.join(tmp, doc), "w") as f:
+                    f.write("not a build input")
+            self.assertEqual(run.source_fingerprint(tmp), before)
+            with open(os.path.join(tmp, "src", "a.cpp"), "w") as f:
+                f.write("int a = 1;\n")
+            after = run.source_fingerprint(tmp)
+            self.assertNotEqual(after, before)
+            # A new commit whose output legitimately changes is no mismatch.
+            store = os.path.join(tmp, "digests.json")
+            self.assertIsNone(run.check_digest(store, before + "/w/1", "aa"))
+            self.assertIsNone(run.check_digest(store, after + "/w/1", "bb"))
+            self.assertIn("differs", run.check_digest(store, after + "/w/1", "cc"))
 
 
 class BenchmarkJson(unittest.TestCase):

@@ -5,7 +5,11 @@
 // of its spans. The batch pass mirrors fit_fullweb_model's Figure-1 task
 // graph one call at a time (same substreams, so the Monte-Carlo work is the
 // same draws) and checks that the deterministic outputs are bit-equal to
-// the fitted model's fields. trace.coverage is the covered share of an
+// the fitted model's fields. The mirror copies the fit's RNG layout from
+// core/fullweb_model.cpp: a level-2 splitter, stream 9 for the week's tails,
+// and streams 3i, 3i+1, 3i+2 for load i's request battery, session battery
+// and tails. A change to that layout must be made here too, or the traced
+// run fails its bit-equality check. trace.coverage is the covered share of an
 // untraced serial fit; stats.periodogram_s and stats.kpss_s are probes of
 // work inside core.stationary_s and are not added to the coverage.
 #include <cstdio>
