@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) — throughput of the computational
 // kernels: FFT, ACF, periodogram, Hurst estimators, FGN synthesis, KPSS,
-// bootstrap tail CIs, the CLF parser, and the sessionizer.
+// bootstrap tail CIs, the curvature test, the CLF parser, and the
+// sessionizer.
 //
 // Unless --benchmark_out is given explicitly, results are also written as
 // google-benchmark JSON to BENCH_micro.json in the working directory; diff
@@ -26,6 +27,7 @@
 #include "support/executor.h"
 #include "support/rng.h"
 #include "tail/bootstrap.h"
+#include "tail/curvature.h"
 #include "timeseries/fgn.h"
 #include "weblog/clf.h"
 #include "weblog/sessionizer.h"
@@ -175,6 +177,41 @@ void BM_BootstrapLlcdCi(benchmark::State& state) {
                           static_cast<int64_t>(opts.replicates));
 }
 BENCHMARK(BM_BootstrapLlcdCi)->Arg(5000);
+
+/// Downey curvature test with the default 199 replicates on a serial
+/// executor, at the NASA and WVU bench-scale session counts. Items are
+/// sample points x replicates, so 1e9 / items_per_second is ns per point.
+void curvature_test_bench(benchmark::State& state, tail::TailModel model) {
+  support::Rng sample_rng(12);
+  const stats::Lognormal dist(3.0, 1.5);  // session-length-like seconds
+  std::vector<double> xs(static_cast<std::size_t>(state.range(0)));
+  for (auto& x : xs) x = dist.sample(sample_rng);
+  support::Executor serial(1);
+  tail::CurvatureOptions opts;
+  opts.model = model;
+  opts.executor = &serial;
+  for (auto _ : state) {
+    support::Rng rng(13);
+    auto r = tail::curvature_test(xs, rng, opts);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(xs.size() * opts.replicates));
+}
+void BM_CurvatureTestPareto(benchmark::State& state) {
+  curvature_test_bench(state, tail::TailModel::kPareto);
+}
+void BM_CurvatureTestLognormal(benchmark::State& state) {
+  curvature_test_bench(state, tail::TailModel::kLognormal);
+}
+BENCHMARK(BM_CurvatureTestPareto)
+    ->Arg(3800)
+    ->Arg(19000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CurvatureTestLognormal)
+    ->Arg(3800)
+    ->Arg(19000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WhittleHurst(benchmark::State& state) {
   support::Rng rng(4);

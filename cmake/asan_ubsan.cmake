@@ -40,11 +40,14 @@ endif()
 # degenerate and adversarial streams (NaN/inf timestamps, merge pooling,
 # alias-table draws); index math over the block ring and the sketch's
 # retained vectors is exactly the kind of off-by-one ASan/UBSan catches.
+# test_tail_curvature drives the curvature replicate generator, which
+# writes a window of the LLCD by rank arithmetic into reused arena slots.
 set(FULLWEB_ASAN_TESTS
   test_support_workspace test_support_json
   test_tools_bench_compare test_edge_inputs
   test_validation test_weblog_corpus test_weblog_parser_identity
-  test_store_columnar test_online_sketch test_online_analyzer)
+  test_store_columnar test_online_sketch test_online_analyzer
+  test_tail_curvature)
 
 message(STATUS "[asan] building ${FULLWEB_ASAN_TESTS}")
 execute_process(

@@ -149,14 +149,21 @@ double max_value(std::span<const double> xs) noexcept {
   return *std::max_element(xs.begin(), xs.end());
 }
 
+QuantilePosition quantile_position(std::size_t n, double q) noexcept {
+  assert(n > 0);
+  q = std::clamp(q, 0.0, 1.0);
+  const double idx = q * static_cast<double>(n - 1);
+  QuantilePosition pos;
+  pos.lo = static_cast<std::size_t>(idx);
+  pos.hi = std::min(pos.lo + 1, n - 1);
+  pos.frac = idx - static_cast<double>(pos.lo);
+  return pos;
+}
+
 double quantile_sorted(std::span<const double> sorted, double q) noexcept {
   assert(!sorted.empty());
-  q = std::clamp(q, 0.0, 1.0);
-  const double idx = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const QuantilePosition pos = quantile_position(sorted.size(), q);
+  return pos.interpolate(sorted[pos.lo], sorted[pos.hi]);
 }
 
 double quantile(std::span<const double> xs, double q) {

@@ -71,6 +71,19 @@ void minmax_prefix_walk(std::span<const double> cum, double base, double step,
 /// Quantile on data the caller has already sorted ascending (no copy).
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q) noexcept;
 
+/// Where quantile_sorted reads a sorted sample of size n (n >= 1): the
+/// quantile is interpolate(sorted[lo], sorted[hi]). Lets a caller that holds
+/// only part of the sorted sample take the same quantile bit for bit.
+struct QuantilePosition {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+  [[nodiscard]] double interpolate(double at_lo, double at_hi) const noexcept {
+    return at_lo + frac * (at_hi - at_lo);
+  }
+};
+[[nodiscard]] QuantilePosition quantile_position(std::size_t n, double q) noexcept;
+
 /// Five-number summary plus mean/sd, used in workload reports.
 struct Summary {
   std::size_t n = 0;

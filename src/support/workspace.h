@@ -25,6 +25,7 @@
 #include <array>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace fullweb::support {
@@ -40,6 +41,10 @@ class Workspace {
       std::size_t slot) noexcept {
     return cplx_[slot];
   }
+  /// Integer scratch (counts, indices).
+  [[nodiscard]] std::vector<std::uint32_t>& index(std::size_t slot) noexcept {
+    return index_[slot];
+  }
 
   /// The calling thread's arena (main thread and every executor worker get
   /// their own).
@@ -48,6 +53,7 @@ class Workspace {
  private:
   std::array<std::vector<double>, kSlots> real_;
   std::array<std::vector<std::complex<double>>, kSlots> cplx_;
+  std::array<std::vector<std::uint32_t>, kSlots> index_;
 };
 
 /// Slot assignments. One owner per slot per call chain; see the contract
@@ -56,13 +62,16 @@ namespace ws {
 // real() slots
 inline constexpr std::size_t kBootstrapResample = 0;  ///< tail::bootstrap_ci replicate resample
 inline constexpr std::size_t kTailSorted = 1;         ///< tail::hill_plot / llcd_fit positive-sample buffer
-inline constexpr std::size_t kCurvatureSample = 2;    ///< tail::curvature_test MC replicate sample
+inline constexpr std::size_t kCurvatureLog10X = 2;    ///< tail::CurvatureNull replicate LLCD window, log10 x
+inline constexpr std::size_t kCurvatureLog10Ccdf = 3; ///< tail::CurvatureNull replicate LLCD window, log10 CCDF
 inline constexpr std::size_t kFftStage = 4;           ///< stats::acf / periodogram real input staging
 // cplx() slots
 inline constexpr std::size_t kSpectrum = 0;      ///< stats::acf / periodogram spectrum buffer
 inline constexpr std::size_t kRealFftHalf = 1;   ///< stats::fft_real packed half-length buffer
 inline constexpr std::size_t kBluestein = 2;     ///< FftPlan Bluestein convolution scratch
 inline constexpr std::size_t kFgnDraw = 3;       ///< timeseries::generate_fgn random spectrum
+// index() slots
+inline constexpr std::size_t kCurvatureBodyCounts = 0;  ///< tail::CurvatureNull Pareto-null body value counts
 }  // namespace ws
 
 }  // namespace fullweb::support

@@ -18,6 +18,7 @@
 #include "synth/generator.h"
 #include "tail/hill.h"
 #include "tail/llcd.h"
+#include "temp_dir.h"
 #include "weblog/clf.h"
 #include "weblog/dataset.h"
 
@@ -167,7 +168,7 @@ class OnlineAnalyzerFiles : public ::testing::Test {
 
   std::string write_file(const std::string& name,
                          const std::vector<std::string>& lines) {
-    const std::string path = "/tmp/fullweb_online_" + name + ".log";
+    const std::string path = test_support::temp_path("online_" + name + ".log");
     std::ofstream os(path, std::ios::binary);
     for (const auto& l : lines) os << l << "\n";
     files_.push_back(path);

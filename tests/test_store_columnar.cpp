@@ -13,6 +13,7 @@
 #include "support/rng.h"
 #include "synth/generator.h"
 #include "synth/profile.h"
+#include "temp_dir.h"
 #include "weblog/dataset.h"
 
 namespace {
@@ -23,7 +24,7 @@ using fullweb::weblog::Request;
 using fullweb::weblog::Session;
 
 std::string temp_path(const std::string& tag) {
-  return "/tmp/fullweb_columnar_" + tag + ".fwc";
+  return fullweb::test_support::temp_path("columnar_" + tag + ".fwc");
 }
 
 /// Bitwise double equality: NaN-safe and distinguishes -0.0 from +0.0,
@@ -241,7 +242,7 @@ TEST_F(StoreColumnarCorruption, RejectsTrailingGarbage) {
 }
 
 TEST_F(StoreColumnarCorruption, MissingFileIsIoError) {
-  auto r = Dataset::from_columnar("/tmp/fullweb_columnar_does_not_exist.fwc");
+  auto r = Dataset::from_columnar(temp_path("does_not_exist"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().category, "io");
 }

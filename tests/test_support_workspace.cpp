@@ -52,9 +52,11 @@ TEST(Workspace, SlotsDoNotAlias) {
     for (std::size_t t = s + 1; t < Workspace::kSlots; ++t)
       EXPECT_NE(ws.real(s).data(), ws.real(t).data());
   }
-  // Real and complex slot families are separate storage too.
+  // Real, complex and index slot families are separate storage too.
   ws.cplx(0).assign(64, {1.0, -1.0});
+  ws.index(0).assign(64, 7u);
   EXPECT_EQ(ws.real(0)[0], 0.0);
+  EXPECT_EQ(ws.cplx(0)[0], std::complex<double>(1.0, -1.0));
 }
 
 TEST(Workspace, EachThreadGetsItsOwnArenaUnderExecutor) {

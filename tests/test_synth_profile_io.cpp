@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "temp_dir.h"
+
 namespace fullweb::synth {
 namespace {
 
@@ -84,7 +86,7 @@ TEST(ProfileIo, MissingEqualsIsError) {
 }
 
 TEST(ProfileIo, FileRoundTrip) {
-  const std::string path = "/tmp/fullweb_profile_io_test.profile";
+  const std::string path = test_support::temp_path("profile_io_test.profile");
   const ServerProfile original = ServerProfile::nasa_pub2();
   ASSERT_TRUE(save_profile(path, original).ok());
   const auto loaded = load_profile(path);

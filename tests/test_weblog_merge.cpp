@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "temp_dir.h"
 #include "weblog/clf.h"
 #include "weblog/dataset.h"
 
@@ -78,8 +79,8 @@ class MergeFilesTest : public ::testing::Test {
 };
 
 TEST_F(MergeFilesTest, ParsesAndMergesMultipleFiles) {
-  write_log("/tmp/fullweb_merge_a.log", {1000.0, 3000.0});
-  write_log("/tmp/fullweb_merge_b.log", {2000.0});
+  write_log(test_support::temp_path("merge_a.log"), {1000.0, 3000.0});
+  write_log(test_support::temp_path("merge_b.log"), {2000.0});
   const auto r = merge_clf_files(paths_);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().entries.size(), 3U);
@@ -90,7 +91,7 @@ TEST_F(MergeFilesTest, ParsesAndMergesMultipleFiles) {
 }
 
 TEST_F(MergeFilesTest, UnreadableFileReportedNotFatal) {
-  write_log("/tmp/fullweb_merge_c.log", {1000.0});
+  write_log(test_support::temp_path("merge_c.log"), {1000.0});
   paths_.push_back("/nonexistent/file.log");
   const auto r = merge_clf_files(paths_);
   ASSERT_TRUE(r.ok());
@@ -106,11 +107,12 @@ TEST_F(MergeFilesTest, UnreadableFileReportedNotFatal) {
 }
 
 TEST_F(MergeFilesTest, EmptyReadableFileIsNotAnOpenFailure) {
+  const std::string empty = test_support::temp_path("merge_empty.log");
   {
-    std::ofstream os("/tmp/fullweb_merge_empty.log");
+    std::ofstream os(empty);
   }
-  paths_.push_back("/tmp/fullweb_merge_empty.log");
-  write_log("/tmp/fullweb_merge_d.log", {1000.0});
+  paths_.push_back(empty);
+  write_log(test_support::temp_path("merge_d.log"), {1000.0});
   const auto r = merge_clf_files(paths_);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().files.size(), 2U);

@@ -12,6 +12,7 @@
 #include "support/executor.h"
 #include "support/rng.h"
 #include "synth/generator.h"
+#include "temp_dir.h"
 #include "weblog/clf.h"
 #include "weblog/clf_reader.h"
 #include "weblog/dataset.h"
@@ -54,7 +55,7 @@ class StreamingIngestTest : public ::testing::Test {
   std::string write_file(const std::string& name,
                          const std::vector<std::string>& lines,
                          const char* eol = "\n") {
-    const std::string path = "/tmp/fullweb_stream_" + name + ".log";
+    const std::string path = test_support::temp_path("stream_" + name + ".log");
     std::ofstream os(path, std::ios::binary);
     for (const auto& l : lines) os << l << eol;
     files_.push_back(path);
@@ -296,7 +297,7 @@ TEST_F(StreamingIngestTest, MissingTrailingNewlineAndCrlfHandled) {
       "10.0.0.1 - - [12/Jan/2004:08:30:00 +0000] \"GET /a HTTP/1.0\" 200 1";
   const std::string line2 =
       "10.0.0.2 - - [12/Jan/2004:08:30:05 +0000] \"GET /b HTTP/1.0\" 200 2";
-  const std::string path = "/tmp/fullweb_stream_nonl.log";
+  const std::string path = test_support::temp_path("stream_nonl.log");
   {
     std::ofstream os(path, std::ios::binary);
     os << line1 << "\r\n" << line2;  // CRLF + no trailing newline
