@@ -15,7 +15,7 @@ bool parse_bench_flags(int argc, const char* const* argv, BenchContext* ctx,
   support::CliFlags local;
   support::CliFlags& flags = extra != nullptr ? *extra : local;
   flags.define("scale", "1.0", "multiplier on each server's bench scale");
-  flags.define("days", "7", "days of synthetic traffic");
+  flags.define("days", "7.0", "days of synthetic traffic");
   flags.define("seed", std::to_string(kDefaultSeed), "random seed");
   flags.define("threads", "0",
                "analysis threads (0 = hardware concurrency, 1 = serial)");

@@ -100,9 +100,9 @@ struct BenchRow {
 int main(int argc, char** argv) {
   support::CliFlags flags;
   flags.define("scale", "0.6", "synthetic volume scale for the ingest fixture");
-  flags.define("hours", "12", "ingest fixture duration (hours)");
+  flags.define("hours", "12.0", "ingest fixture duration (hours)");
   flags.define("shards", "8", "fleet size for the fit-throughput runs");
-  flags.define("shard-hours", "3", "per-shard duration (hours)");
+  flags.define("shard-hours", "3.0", "per-shard duration (hours)");
   flags.define("shard-scale", "0.5", "per-shard volume scale");
   flags.define("threads", "8", "parallel executor width for the fleet fit");
   flags.define("reps", "5", "repetitions per timing (median reported)");

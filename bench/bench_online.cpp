@@ -84,7 +84,7 @@ void sink(const support::Result<T>& r, double v) {
 
 int main(int argc, char** argv) {
   support::CliFlags flags;
-  flags.define("hours", "24", "stream duration (hours)");
+  flags.define("hours", "24.0", "stream duration (hours)");
   flags.define("scale", "0.5", "synthetic volume scale");
   flags.define("checkpoints", "16", "estimate points along the stream");
   flags.define("reps", "3", "repetitions per timing (median reported)");

@@ -42,12 +42,15 @@ endif()
 # retained vectors is exactly the kind of off-by-one ASan/UBSan catches.
 # test_tail_curvature drives the curvature replicate generator, which
 # writes a window of the LLCD by rank arithmetic into reused arena slots.
+# test_weblog_streaming and test_weblog_sessionizer cover the library's
+# only CLF reader (chunk carry-over, record views into parse blocks) and
+# its only sessionizer (list splicing and iterator-keyed eviction).
 set(FULLWEB_ASAN_TESTS
   test_support_workspace test_support_json
   test_tools_bench_compare test_edge_inputs
   test_validation test_weblog_corpus test_weblog_parser_identity
   test_store_columnar test_online_sketch test_online_analyzer
-  test_tail_curvature)
+  test_tail_curvature test_weblog_streaming test_weblog_sessionizer)
 
 message(STATUS "[asan] building ${FULLWEB_ASAN_TESTS}")
 execute_process(

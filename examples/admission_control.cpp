@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   flags.define("capacity-factor", "0.5",
                "per-second capacity as a fraction of the PEAK per-second load");
   flags.define("seed", "5", "random seed");
-  flags.define("hours", "24", "hours of traffic");
+  flags.define("hours", "24.0", "hours of traffic");
   flags.define("threads", "0",
                "analysis threads (0 = hardware concurrency, 1 = serial)");
   if (!flags.parse(argc, argv)) return 2;

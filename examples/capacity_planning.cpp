@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   support::CliFlags flags;
   flags.define("utilization", "0.7", "target server utilization (0, 1)");
   flags.define("seed", "11", "random seed");
-  flags.define("hours", "24", "hours of traffic to simulate");
+  flags.define("hours", "24.0", "hours of traffic to simulate");
   flags.define("threads", "0",
                "analysis threads (0 = hardware concurrency, 1 = serial)");
   if (!flags.parse(argc, argv)) return 2;

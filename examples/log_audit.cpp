@@ -10,17 +10,18 @@
 // With no argument it writes a demo log (synthetic ClarkNet day) first and
 // audits that, so the example is runnable out of the box.
 //
-// A single file is ingested through the streaming path (chunked parallel
-// parse, bounded-memory sessionization) with per-file IngestStats printed.
-// Multiple files are merged chronologically before sessionization, the
-// Figure 1 treatment of redundant-server architectures (WVU, CSEE ran
-// replicated servers whose logs must be merged or sessions split).
+// Every file goes through the streaming ingest (chunked parallel parse,
+// bounded-memory sessionization) with per-file IngestStats printed.
+// Several files are the Figure 1 treatment of redundant-server
+// architectures (WVU, CSEE ran replicated servers whose logs must be merged
+// or sessions split): interleaved replica logs are detected as out of
+// order, and the merged request table is time-sorted and sessionized as one
+// stream.
 //
 //   ./log_audit [access1.log access2.log ...]
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 
 #include "core/error_analysis.h"
 #include "core/fullweb_model.h"
@@ -31,7 +32,6 @@
 #include "synth/generator.h"
 #include "weblog/clf.h"
 #include "weblog/dataset.h"
-#include "weblog/merge.h"
 
 namespace {
 
@@ -66,7 +66,7 @@ int write_demo_log(const std::string& path) {
 
 int main(int argc, char** argv) {
   support::CliFlags flags;
-  flags.define("threshold-minutes", "30", "session inactivity threshold");
+  flags.define("threshold-minutes", "30.0", "session inactivity threshold");
   flags.define("curvature-replicates", "99", "Monte-Carlo replicates (0 = skip)");
   flags.define("markdown", "", "also write a Markdown report to this path");
   flags.define("threads", "0",
@@ -90,58 +90,30 @@ int main(int argc, char** argv) {
   weblog::SessionizerOptions sopts;
   sopts.threshold_seconds = flags.get_double("threshold-minutes") * 60.0;
 
-  std::optional<weblog::Dataset> dataset;
-  if (paths.size() == 1) {
-    // Streaming ingest: chunked parallel parse, O(open sessions) memory.
-    weblog::StreamIngestOptions iopts;
-    iopts.sessionizer = sopts;
-    weblog::StreamIngestReport report;
-    auto ds = weblog::Dataset::from_clf_stream(paths.front(), paths, iopts,
-                                               &report);
-    if (!ds.ok()) {
-      std::fprintf(stderr, "streaming ingest failed: %s\n",
-                   ds.error().message.c_str());
-      return 1;
-    }
-    for (const auto& f : report.files)
-      std::printf("%s\n", f.summary().c_str());
-    std::printf("peak open sessions: %zu (%s sessionization)\n",
-                report.peak_open_sessions,
-                report.sessionized_incrementally ? "incremental"
-                                                 : "batch fallback");
-    dataset = std::move(ds.value());
-  } else {
-    auto merged = weblog::merge_clf_files(paths);
-    if (!merged.ok()) {
-      std::fprintf(stderr, "no parsable entries: %s\n",
-                   merged.error().message.c_str());
-      return 1;
-    }
-    for (const auto& f : merged.value().files) {
-      if (f.open_failed) {
-        std::fprintf(stderr, "SKIPPED %s: %s\n", f.path.c_str(),
-                     f.error.c_str());
-        continue;
-      }
-      std::printf("parsed %zu entries from %s (%zu malformed lines skipped)\n",
-                  f.parsed, f.path.c_str(), f.malformed);
-    }
-    auto ds = weblog::Dataset::from_entries(paths.front(),
-                                            merged.value().entries, sopts);
-    if (!ds.ok()) {
-      std::fprintf(stderr, "dataset construction failed: %s\n",
-                   ds.error().message.c_str());
-      return 1;
-    }
-    dataset = std::move(ds.value());
+  // Chunked parallel parse, O(open sessions) memory.
+  weblog::StreamIngestOptions iopts;
+  iopts.sessionizer = sopts;
+  weblog::StreamIngestReport report;
+  auto ingested =
+      weblog::Dataset::from_clf_stream(paths.front(), paths, iopts, &report);
+  if (!ingested.ok()) {
+    std::fprintf(stderr, "streaming ingest failed: %s\n",
+                 ingested.error().message.c_str());
+    return 1;
   }
+  for (const auto& f : report.files) std::printf("%s\n", f.summary().c_str());
+  std::printf("peak open sessions: %zu (%s sessionization)\n",
+              report.peak_open_sessions,
+              report.sessionized_incrementally ? "incremental"
+                                               : "sort-then-stream");
+  const weblog::Dataset& dataset = ingested.value();
 
   core::FullWebOptions opts;
   const auto reps = static_cast<std::size_t>(flags.get_int("curvature-replicates"));
   opts.tails.run_curvature = reps > 0;
   opts.tails.curvature_replicates = reps;
   support::Rng rng(7);
-  auto model = core::fit_fullweb_model((*dataset), rng, opts);
+  auto model = core::fit_fullweb_model(dataset, rng, opts);
   if (!model.ok()) {
     std::fprintf(stderr, "analysis failed: %s\n", model.error().message.c_str());
     return 1;
@@ -150,7 +122,7 @@ int main(int argc, char** argv) {
 
   // Which classical model do the request inter-arrival times actually
   // follow? (Under LRD traffic the exponential loses badly — §4.2.)
-  if (auto ia = core::analyze_interarrivals((*dataset).request_times()); ia.ok()) {
+  if (auto ia = core::analyze_interarrivals(dataset.request_times()); ia.ok()) {
     std::printf("\nRequest inter-arrival model ranking (n=%zu, cv=%.2f):\n",
                 ia.value().n, ia.value().cv);
     for (const auto& f : ia.value().fits) {
@@ -163,7 +135,7 @@ int main(int argc, char** argv) {
   }
 
   // Error / reliability view (Figure 1's error-analysis branch).
-  if (auto err = core::analyze_errors((*dataset)); err.ok()) {
+  if (auto err = core::analyze_errors(dataset); err.ok()) {
     const auto& e = err.value();
     std::printf("\nError & reliability analysis:\n");
     std::printf("  status mix: 1xx=%zu 2xx=%zu 3xx=%zu 4xx=%zu 5xx=%zu\n",
@@ -187,9 +159,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     md << core::render_markdown(model.value());
-    if (auto err = core::analyze_errors((*dataset)); err.ok())
+    if (auto err = core::analyze_errors(dataset); err.ok())
       md << core::render_markdown_errors(err.value());
-    if (auto ia = core::analyze_interarrivals((*dataset).request_times()); ia.ok())
+    if (auto ia = core::analyze_interarrivals(dataset.request_times()); ia.ok())
       md << core::render_markdown_interarrivals(ia.value());
     std::printf("\nwrote Markdown report to %s\n", md_path.c_str());
   }

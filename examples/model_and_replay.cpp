@@ -66,7 +66,7 @@ void add_rows(support::Table& table, const char* label, const Fingerprint& f) {
 int main(int argc, char** argv) {
   support::CliFlags flags;
   flags.define("server", "ClarkNet", "profile for the 'observed' traffic");
-  flags.define("days", "7", "days of traffic");
+  flags.define("days", "7.0", "days of traffic");
   flags.define("scale", "0.3", "volume scale");
   flags.define("seed", "3", "random seed");
   flags.define("save", "", "write the fitted profile to this path");

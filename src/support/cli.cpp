@@ -52,6 +52,14 @@ bool CliFlags::parse(int argc, const char* const* argv) {
         return false;
       }
     }
+    // A flag declared with a numeric default takes only numbers, so a typo
+    // such as `--threads abc` is reported here instead of escaping
+    // get_int()/get_double() later as an uncaught exception.
+    if (parse_double(it->second.default_value) && !parse_double(value)) {
+      std::fprintf(stderr, "flag --%s expects a number, got '%s'\n",
+                   name.c_str(), value.c_str());
+      return false;
+    }
     it->second.value = value;
   }
   return true;

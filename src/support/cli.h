@@ -18,7 +18,9 @@ class CliFlags {
               const std::string& help);
 
   /// Parse argv. Returns false (and prints usage to stderr) on unknown flags
-  /// or missing values. `--help` prints usage and returns false as well.
+  /// or missing values, and (printing the error) on a non-numeric value for
+  /// a flag whose declared default is a number. `--help` prints usage and
+  /// returns false as well.
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;

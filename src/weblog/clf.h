@@ -23,8 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -140,10 +138,5 @@ class ClfLineParser {
 /// is rejected as malformed rather than silently ignored.
 [[nodiscard]] std::string format_clf_timestamp(double epoch_seconds);
 [[nodiscard]] support::Result<double> parse_clf_timestamp(std::string_view text);
-
-/// Streaming parser: reads every line of `is`, invoking `on_entry` per
-/// parsed record. Returns the number of malformed lines skipped.
-std::size_t parse_clf_stream(std::istream& is,
-                             const std::function<void(LogEntry&&)>& on_entry);
 
 }  // namespace fullweb::weblog

@@ -34,10 +34,10 @@ struct ParsedChunk {
   std::array<std::size_t, kClfParseReasonCount> malformed{};
 };
 
-/// Parse every line of `*text` (blank lines are skipped silently, matching
-/// parse_clf_stream). Runs on a worker thread; touches nothing shared. The
-/// parser — and with it the same-second timestamp memo — is chunk-local,
-/// so parallel workers share no state.
+/// Parse every line of `*text` (blank lines are skipped silently: they
+/// count neither as lines nor as malformed). Runs on a worker thread;
+/// touches nothing shared. The parser — and with it the same-second
+/// timestamp memo — is chunk-local, so parallel workers share no state.
 ParsedChunk parse_chunk(std::shared_ptr<const std::string> text) {
   ParsedChunk out;
   ClfLineParser parser;
@@ -176,14 +176,6 @@ Result<IngestStats> read_clf_records(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return stats;
-}
-
-Result<IngestStats> read_clf_file(
-    const std::string& path, const ClfReaderOptions& options,
-    const std::function<void(LogEntry&&)>& on_entry) {
-  return read_clf_records(path, options, [&](const ClfRecord& record) {
-    on_entry(ClfLineParser::materialize(record));
-  });
 }
 
 }  // namespace fullweb::weblog

@@ -1,8 +1,8 @@
 // Chunked, parallel, bounded-memory CLF file reader.
 //
-// The original ingest path (`parse_clf_stream` over a whole ifstream)
-// reads one line at a time on one thread and its callers slurp every
-// parsed entry into RAM. This reader instead:
+// The library's only CLF text reader (Dataset::from_clf_stream runs every
+// file through it). Rather than reading one line at a time on one thread,
+// it:
 //
 //  * reads fixed-size byte blocks off the file sequentially (each block is
 //    read directly behind the previous block's carried partial line, so no
@@ -26,7 +26,6 @@
 
 #include "support/result.h"
 #include "weblog/clf.h"
-#include "weblog/entry.h"
 
 namespace fullweb::support {
 class Executor;
@@ -75,12 +74,5 @@ struct ClfReaderOptions {
 [[nodiscard]] support::Result<IngestStats> read_clf_records(
     const std::string& path, const ClfReaderOptions& options,
     const std::function<void(const ClfRecord&)>& on_record);
-
-/// read_clf_records, materializing an owning LogEntry per record — for
-/// consumers that keep the string fields. The hot sessionizing path uses
-/// read_clf_records directly and never pays the per-line allocations.
-[[nodiscard]] support::Result<IngestStats> read_clf_file(
-    const std::string& path, const ClfReaderOptions& options,
-    const std::function<void(LogEntry&&)>& on_entry);
 
 }  // namespace fullweb::weblog

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <string_view>
+#include <unordered_map>
 
 #include "timeseries/series.h"
 #include "weblog/streaming_sessionizer.h"
@@ -20,28 +21,6 @@ std::string to_string(Load load) {
     case Load::kHigh: return "High";
   }
   return "?";
-}
-
-Result<Dataset> Dataset::from_entries(std::string name,
-                                      std::span<const LogEntry> entries,
-                                      const SessionizerOptions& sessionizer) {
-  if (entries.empty()) return Error::insufficient_data("Dataset: no entries");
-  Dataset ds;
-  ds.name_ = std::move(name);
-  ds.requests_.reserve(entries.size());
-
-  std::unordered_map<std::string, std::uint32_t> intern;
-  for (const auto& e : entries) {
-    auto [it, inserted] =
-        intern.emplace(e.client, static_cast<std::uint32_t>(intern.size()));
-    ds.requests_.push_back(Request{e.timestamp, it->second,
-                                   static_cast<std::uint16_t>(
-                                       std::clamp(e.status, 0, 65535)),
-                                   e.bytes});
-  }
-  ds.distinct_clients_ = intern.size();
-  ds.finalize(sessionizer);
-  return ds;
 }
 
 Result<Dataset> Dataset::from_requests(std::string name,
@@ -115,10 +94,9 @@ Result<Dataset> Dataset::from_clf_stream(std::string name,
   StreamIngestReport& rep = report != nullptr ? *report : local_report;
   rep = StreamIngestReport{};
 
-  // Interning follows delivery order — identical to from_entries on the
-  // same entry sequence — and the compact Request is all we keep; the
-  // zero-copy ClfRecord (whose views die with its parse chunk) is never
-  // materialized into a LogEntry on this path.
+  // Interning follows delivery order and the compact Request is all we
+  // keep; the zero-copy ClfRecord (whose views die with its parse chunk) is
+  // never materialized into a LogEntry on this path.
   bool sorted = true;
   double prev_time = 0.0;
   auto on_record = [&](const ClfRecord& rec) {
@@ -183,8 +161,9 @@ Result<Dataset> Dataset::from_clf_stream(std::string name,
   if (rep.sessionized_incrementally) {
     ds.sessions_ = sessionizer.finish();
   } else {
-    // Out-of-order entry stream: incremental eviction decisions are not
-    // trustworthy, so sessionize the (now sorted) table the batch way.
+    // Out-of-order entry stream (interleaved replicas, say): incremental
+    // eviction decisions are not trustworthy, so stream the now-sorted
+    // table through a fresh sessionizer.
     ds.sessions_ = sessionize(ds.requests_, options.sessionizer);
   }
   return ds;

@@ -8,12 +8,10 @@
 
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "support/result.h"
 #include "weblog/clf_reader.h"
-#include "weblog/entry.h"
 #include "weblog/sessionizer.h"
 
 namespace fullweb::weblog {
@@ -35,8 +33,9 @@ struct StreamIngestReport {
   std::size_t invalid_time = 0;
   /// True when the concatenated entry stream was non-decreasing in time and
   /// the bounded-memory incremental sessionizer was used; false means the
-  /// input was out of order and sessionization fell back to the batch path
-  /// (results are identical either way).
+  /// input was out of order (e.g. interleaved replica logs) and the sorted
+  /// request table was sessionized again with sessionize() (results are
+  /// identical either way).
   bool sessionized_incrementally = false;
 };
 
@@ -55,32 +54,24 @@ enum class Load { kLow, kMed, kHigh };
 
 class Dataset {
  public:
-  /// Build from parsed log entries: interns client strings, sorts by time,
-  /// and sessionizes with the given threshold. The observation window is
-  /// [floor(min time), ceil(max time)) unless explicitly provided.
-  /// Errors on an empty entry list.
-  static support::Result<Dataset> from_entries(
-      std::string name, std::span<const LogEntry> entries,
-      const SessionizerOptions& sessionizer = {});
-
   /// Build directly from pre-interned requests (the synthetic path).
   static support::Result<Dataset> from_requests(
       std::string name, std::vector<Request> requests,
       const SessionizerOptions& sessionizer = {});
 
-  /// Streaming ingest: read CLF files chunk-by-chunk (parsed in parallel on
-  /// the executor in options.reader), interning clients and sessionizing
-  /// incrementally, so peak transient memory is O(chunk budget + open
-  /// sessions + the compact request table) — the raw text and LogEntry
-  /// strings are never all resident. Produces request and session tables
-  /// bit-identical to parsing the same files in order and calling
-  /// from_entries(), at any thread count.
+  /// The library's only CLF ingest: read CLF files chunk-by-chunk (parsed
+  /// in parallel on the executor in options.reader), interning clients in
+  /// delivery order and sessionizing incrementally, so peak transient
+  /// memory is O(chunk budget + open sessions + the compact request table)
+  /// — the raw text and per-line strings are never all resident. The
+  /// request and session tables are bit-identical at any thread count.
   ///
-  /// Paths are processed sequentially (concatenation order); logs from
-  /// redundant replicas that interleave in time still ingest correctly
-  /// (the sessionizer falls back to the batch path on out-of-order input)
-  /// but client-id assignment follows concatenation order, unlike
-  /// merge_clf_files + from_entries which interns in merged time order.
+  /// Paths are processed sequentially (concatenation order). Logs from
+  /// redundant replicas that interleave in time (the paper's Figure 1
+  /// "merge" step) need no separate merge: the concatenated stream is out
+  /// of order, so the sorted request table is sessionized again with
+  /// sessionize() and a client's requests on every replica fall into one
+  /// session. Client ids follow concatenation order.
   /// Unreadable files are recorded in the report (open_failed) rather than
   /// failing the ingest; errors only when no file yields any entry.
   static support::Result<Dataset> from_clf_stream(

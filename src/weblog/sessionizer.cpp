@@ -1,51 +1,25 @@
 #include "weblog/sessionizer.h"
 
 #include <algorithm>
-#include <numeric>
+
+#include "weblog/streaming_sessionizer.h"
 
 namespace fullweb::weblog {
 
 std::vector<Session> sessionize(std::span<const Request> requests,
                                 const SessionizerOptions& options) {
-  std::vector<Session> sessions;
-  if (requests.empty()) return sessions;
-
-  // Sort an index array by (client, time) so each client's requests are
-  // contiguous and chronological. RequestIndex is std::size_t: a uint32
-  // index would silently wrap past 2^32 requests.
-  std::vector<RequestIndex> order(requests.size());
-  std::iota(order.begin(), order.end(), RequestIndex{0});
-  std::sort(order.begin(), order.end(), [&](RequestIndex a, RequestIndex b) {
-    if (requests[a].client != requests[b].client)
-      return requests[a].client < requests[b].client;
-    return requests[a].time < requests[b].time;
-  });
-
-  Session current;
-  bool open = false;
-  auto close = [&] {
-    if (open) sessions.push_back(current);
-    open = false;
+  const auto by_time = [](const Request& a, const Request& b) {
+    return a.time < b.time;
   };
-
-  for (RequestIndex idx : order) {
-    const Request& r = requests[idx];
-    const bool same_client = open && current.client == r.client;
-    const bool within_gap =
-        same_client && (r.time - current.end) <= options.threshold_seconds;
-    if (!within_gap) {
-      close();
-      current = Session{r.client, r.time, r.time, 0, 0};
-      open = true;
-    }
-    current.end = r.time;
-    current.requests += 1;
-    current.bytes += r.bytes;
+  std::vector<Request> sorted;
+  if (!std::is_sorted(requests.begin(), requests.end(), by_time)) {
+    sorted.assign(requests.begin(), requests.end());
+    std::sort(sorted.begin(), sorted.end(), by_time);
+    requests = sorted;
   }
-  close();
-
-  std::sort(sessions.begin(), sessions.end(), session_order);
-  return sessions;
+  StreamingSessionizer sessionizer(options);
+  for (const Request& r : requests) sessionizer.add(r);
+  return sessionizer.finish();
 }
 
 }  // namespace fullweb::weblog

@@ -21,11 +21,6 @@ struct Request {
   std::uint64_t bytes = 0;     ///< response bytes (completed or partial)
 };
 
-/// Index type used to address requests during sessionization. Deliberately
-/// std::size_t (not std::uint32_t): the streaming ingest path may legally
-/// feed more than 2^32 requests through one sessionization pass.
-using RequestIndex = std::size_t;
-
 struct Session {
   std::uint32_t client = 0;
   double start = 0.0;          ///< time of the first request
@@ -39,9 +34,9 @@ struct Session {
 
 /// Canonical session-table ordering: by start time, ties broken by client
 /// id (a client cannot open two sessions at the same instant, so this is a
-/// total order on any real table). Both the batch and streaming
-/// sessionizers sort with this comparator, which is what makes their
-/// outputs bit-identical.
+/// total order on any real table). StreamingSessionizer::finish() sorts
+/// with this comparator, so a table does not depend on how ties in the
+/// input were ordered.
 [[nodiscard]] inline bool session_order(const Session& a,
                                         const Session& b) noexcept {
   if (a.start != b.start) return a.start < b.start;
@@ -52,8 +47,10 @@ struct SessionizerOptions {
   double threshold_seconds = 1800.0;  ///< 30 minutes, per the paper
 };
 
-/// Group requests into sessions. Requests need not be sorted. The result is
-/// in canonical `session_order`. O(n log n).
+/// Group requests into sessions. Requests need not be sorted: out-of-order
+/// input is time-sorted into a copy first, then streamed through
+/// StreamingSessionizer (time-sorted input streams with no copy). The
+/// result is in canonical `session_order`.
 [[nodiscard]] std::vector<Session> sessionize(std::span<const Request> requests,
                                               const SessionizerOptions& options = {});
 

@@ -6,8 +6,8 @@ namespace fullweb::weblog {
 
 void StreamingSessionizer::evict_idle_before(double now) {
   // The list is sorted by last-activity time, so every expired session sits
-  // at the front. Strict '<' mirrors the batch rule: a gap EQUAL to the
-  // threshold still extends the session.
+  // at the front. Strict '>': a gap EQUAL to the threshold still extends
+  // the session.
   while (!by_end_.empty() &&
          now - by_end_.front().end > options_.threshold_seconds) {
     open_.erase(by_end_.front().client);

@@ -1,11 +1,11 @@
-// Incremental sessionization with memory bounded by *open* sessions.
+// Sessionization with memory bounded by *open* sessions — the library's
+// only sessionization algorithm (`sessionize()` feeds it a time-sorted
+// table).
 //
-// The batch sessionizer sorts an index over every request — O(total
-// requests) memory — which caps ingest at whatever fits in RAM. For a
-// time-ordered request stream the session decision is local: a client's
-// open session either absorbs the next request (gap <= threshold) or is
-// closed forever, because once `now - end > threshold` no later request can
-// extend it. This class exploits that:
+// For a time-ordered request stream the session decision is local: a
+// client's open session either absorbs the next request (gap <= threshold)
+// or is closed forever, because once `now - end > threshold` no later
+// request can extend it. This class exploits that:
 //
 //  * Open sessions live in a hash map keyed by client id, and additionally
 //    on an intrusive list ordered by last-activity time. Because input
@@ -16,12 +16,12 @@
 //    requests): an infinite-source arrival stream (Faÿ–Roueff–Soulier) can
 //    be sessionized in constant space per active user.
 //  * finish() closes the remainder and returns the table in the canonical
-//    `session_order`, bit-identical to `sessionize()` on the same
-//    (time-sorted) input.
+//    `session_order`.
 //
 // Contract: feed requests in non-decreasing time order. Out-of-order input
 // is detected and flagged (`saw_unsorted()`); results are then unreliable
-// and the caller must fall back to the batch path (Dataset does).
+// and the caller must time-sort and feed the requests again, which is what
+// `sessionize()` does (Dataset::from_clf_stream falls back to it).
 #pragma once
 
 #include <cstddef>

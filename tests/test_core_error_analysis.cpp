@@ -6,6 +6,7 @@
 
 #include "synth/generator.h"
 #include "weblog/dataset.h"
+#include "weblog_fixtures.h"
 
 namespace fullweb::core {
 namespace {
@@ -26,7 +27,7 @@ TEST(ErrorAnalysis, StatusClassesCounted) {
       entry(0, "a", 200), entry(1, "a", 200), entry(2, "a", 304),
       entry(3, "b", 404), entry(4, "b", 500), entry(5, "c", 101),
   };
-  auto ds = weblog::Dataset::from_entries("t", entries);
+  auto ds = test_support::dataset_from_entries("t", entries);
   ASSERT_TRUE(ds.ok());
   const auto r = analyze_errors(ds.value());
   ASSERT_TRUE(r.ok());
@@ -49,7 +50,7 @@ TEST(ErrorAnalysis, SessionReliability) {
       entry(0, "b", 404), entry(10, "b", 500), entry(20, "b", 200),
       entry(5, "c", 200),
   };
-  auto ds = weblog::Dataset::from_entries("t", entries);
+  auto ds = test_support::dataset_from_entries("t", entries);
   ASSERT_TRUE(ds.ok());
   const auto r = analyze_errors(ds.value());
   ASSERT_TRUE(r.ok());
@@ -65,7 +66,7 @@ TEST(ErrorAnalysis, ErrorsAttributedToCorrectSessionOfClient) {
       entry(0, "a", 200), entry(60, "a", 200),
       entry(10000, "a", 404), entry(10060, "a", 200),
   };
-  auto ds = weblog::Dataset::from_entries("t", entries);
+  auto ds = test_support::dataset_from_entries("t", entries);
   ASSERT_TRUE(ds.ok());
   ASSERT_EQ(ds.value().sessions().size(), 2U);
   const auto r = analyze_errors(ds.value());
@@ -77,7 +78,7 @@ TEST(ErrorAnalysis, ErrorsAttributedToCorrectSessionOfClient) {
 TEST(ErrorAnalysis, AllCleanIsFullyReliable) {
   std::vector<weblog::LogEntry> entries = {
       entry(0, "a", 200), entry(1, "b", 200), entry(2, "c", 304)};
-  auto ds = weblog::Dataset::from_entries("t", entries);
+  auto ds = test_support::dataset_from_entries("t", entries);
   ASSERT_TRUE(ds.ok());
   const auto r = analyze_errors(ds.value());
   ASSERT_TRUE(r.ok());
@@ -94,7 +95,7 @@ TEST(ErrorAnalysis, IntervalRatesTrackErrorBursts) {
   for (int i = 0; i < 100; ++i)
     entries.push_back(
         entry(3600 + i * 30.0, "b" + std::to_string(i), i < 50 ? 503 : 200));
-  auto ds = weblog::Dataset::from_entries("t", entries);
+  auto ds = test_support::dataset_from_entries("t", entries);
   ASSERT_TRUE(ds.ok());
   ErrorAnalysisOptions opts;
   opts.interval_seconds = 3600.0;

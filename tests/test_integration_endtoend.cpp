@@ -3,12 +3,15 @@
 // on real logs, and verifies the text round-trip loses nothing.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/stationary.h"
 #include "core/tail_analysis.h"
 #include "lrd/estimator_suite.h"
 #include "synth/generator.h"
+#include "temp_dir.h"
 #include "weblog/clf.h"
 #include "weblog/dataset.h"
 
@@ -24,29 +27,27 @@ TEST(EndToEnd, ClfTextRoundTripPreservesAnalysisInputs) {
       synth::generate_workload(synth::ServerProfile::csee(), gen, rng);
   ASSERT_TRUE(workload.ok());
 
-  // Emit as CLF text.
+  // Emit as a CLF file.
   support::Rng rng2(2);
   const auto entries = synth::to_log_entries(workload.value(), rng2);
-  std::ostringstream log_text;
-  for (const auto& e : entries) log_text << weblog::to_clf_line(e) << '\n';
+  const std::vector<std::string> paths = {
+      test_support::temp_path("endtoend_roundtrip.log")};
+  {
+    std::ofstream os(paths.front(), std::ios::binary);
+    for (const auto& e : entries) os << weblog::to_clf_line(e) << '\n';
+  }
 
-  // Parse it back.
-  std::istringstream is(log_text.str());
-  std::vector<weblog::LogEntry> parsed;
-  const std::size_t malformed =
-      weblog::parse_clf_stream(is, [&](weblog::LogEntry&& e) {
-        parsed.push_back(std::move(e));
-      });
-  EXPECT_EQ(malformed, 0U);
-  ASSERT_EQ(parsed.size(), entries.size());
-
-  // Build datasets from both paths; they must agree on every statistic the
-  // analyses consume.
+  // Ingest it back through the production path, and build the synthetic
+  // side directly; they must agree on every statistic the analyses consume.
+  weblog::StreamIngestReport report;
+  auto via_text = weblog::Dataset::from_clf_stream("text", paths, {}, &report);
   auto direct = weblog::Dataset::from_requests(
       "direct", std::move(workload.value().requests));
-  auto via_text = weblog::Dataset::from_entries("text", parsed);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(via_text.ok());
+  ASSERT_EQ(report.files.size(), 1U);
+  EXPECT_EQ(report.files[0].malformed, 0U);
+  EXPECT_EQ(report.files[0].parsed, entries.size());
 
   EXPECT_EQ(direct.value().requests().size(), via_text.value().requests().size());
   EXPECT_EQ(direct.value().sessions().size(), via_text.value().sessions().size());

@@ -102,6 +102,39 @@ TEST(Cli, PositionalArgumentsCollected) {
   EXPECT_EQ(flags.positional()[1], "file2.log");
 }
 
+TEST(Cli, NonNumericValueForNumericFlagFailsParse) {
+  // `--threads abc` used to pass parse() and then abort the binary with an
+  // uncaught std::invalid_argument from get_int().
+  for (const char* value : {"abc", "", "3x", "--"}) {
+    CliFlags flags;
+    flags.define("threads", "0", "worker threads");
+    flags.define("scale", "1.0", "size");
+    const char* argv[] = {"prog", "--threads", value};
+    EXPECT_FALSE(flags.parse(3, argv)) << "threads=" << value;
+    const char* argv_double[] = {"prog", "--scale", value};
+    EXPECT_FALSE(flags.parse(3, argv_double)) << "scale=" << value;
+  }
+  CliFlags flags;
+  flags.define("threads", "0", "worker threads");
+  const char* argv_eq[] = {"prog", "--threads=abc"};
+  EXPECT_FALSE(flags.parse(2, argv_eq));
+}
+
+TEST(Cli, NumericFlagsAcceptNumbersAndStringFlagsAnything) {
+  CliFlags flags;
+  flags.define("threads", "0", "worker threads");
+  flags.define("seconds", "10", "read as a double");
+  flags.define("out", "", "path");
+  flags.define("server", "CSEE", "name");
+  const char* argv[] = {"prog",     "--threads", "4",      "--seconds", "25.0",
+                        "--out",    "12",        "--server", "abc"};
+  ASSERT_TRUE(flags.parse(9, argv));
+  EXPECT_EQ(flags.get_int("threads"), 4);
+  EXPECT_DOUBLE_EQ(flags.get_double("seconds"), 25.0);
+  EXPECT_EQ(flags.get("out"), "12");
+  EXPECT_EQ(flags.get("server"), "abc");
+}
+
 TEST(Cli, UndeclaredGetThrows) {
   CliFlags flags;
   EXPECT_THROW((void)flags.get("missing"), std::invalid_argument);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <fstream>
 #include <string>
+#include <vector>
+
+#include "temp_dir.h"
+#include "weblog/clf_reader.h"
 
 namespace fullweb::weblog {
 namespace {
@@ -234,16 +238,22 @@ TEST(ToClfLine, RoundTripsThroughParser) {
   EXPECT_EQ(back.value().bytes, e.bytes);
 }
 
-TEST(ParseClfStream, CountsMalformedAndParsesRest) {
-  std::istringstream is(
-      "10.0.0.1 - - [12/Jan/2004:08:30:00 +0000] \"GET /a HTTP/1.0\" 200 1\n"
-      "garbage line\n"
-      "\n"
-      "10.0.0.2 - - [12/Jan/2004:08:30:01 +0000] \"GET /b HTTP/1.0\" 404 2\n");
+TEST(ReadClfRecords, CountsMalformedAndSkipsBlankLines) {
+  const std::string path = test_support::temp_path("clf_blank.log");
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << "10.0.0.1 - - [12/Jan/2004:08:30:00 +0000] \"GET /a HTTP/1.0\" 200 1\n"
+          "garbage line\n"
+          "\n"
+          "10.0.0.2 - - [12/Jan/2004:08:30:01 +0000] \"GET /b HTTP/1.0\" 404 2\n";
+  }
   std::vector<LogEntry> entries;
-  const std::size_t bad =
-      parse_clf_stream(is, [&](LogEntry&& e) { entries.push_back(std::move(e)); });
-  EXPECT_EQ(bad, 1U);  // blank lines are skipped silently, not malformed
+  const auto stats = read_clf_records(path, {}, [&](const ClfRecord& record) {
+    entries.push_back(ClfLineParser::materialize(record));
+  });
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().malformed, 1U);  // blank lines are skipped silently
+  EXPECT_EQ(stats.value().lines, 3U);
   ASSERT_EQ(entries.size(), 2U);
   EXPECT_EQ(entries[0].client, "10.0.0.1");
   EXPECT_EQ(entries[1].status, 404);

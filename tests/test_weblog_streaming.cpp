@@ -1,14 +1,20 @@
 // Streaming ingest subsystem: chunked parallel CLF reader, incremental
 // sessionizer, and Dataset::from_clf_stream — pinned bit-identical to the
-// batch path at every thread count, with memory bounded by open sessions.
+// index-sort reference sessionizer at every thread count, with memory
+// bounded by open sessions — and the redundant-replica merge, which is the
+// same from_clf_stream call over interleaved files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
+#include "sessionize_reference.h"
 #include "support/executor.h"
 #include "support/rng.h"
 #include "synth/generator.h"
@@ -16,8 +22,8 @@
 #include "weblog/clf.h"
 #include "weblog/clf_reader.h"
 #include "weblog/dataset.h"
-#include "weblog/merge.h"
 #include "weblog/streaming_sessionizer.h"
+#include "weblog_fixtures.h"
 
 namespace fullweb::weblog {
 namespace {
@@ -30,6 +36,13 @@ bool same_request(const Request& a, const Request& b) {
 bool same_session(const Session& a, const Session& b) {
   return a.client == b.client && a.start == b.start && a.end == b.end &&
          a.requests == b.requests && a.bytes == b.bytes;
+}
+
+void expect_same_sessions(const std::vector<Session>& a,
+                          const std::vector<Session>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_TRUE(same_session(a[i], b[i])) << "session " << i;
 }
 
 /// Datasets must agree field-for-field (bit-identical tables).
@@ -62,9 +75,8 @@ class StreamingIngestTest : public ::testing::Test {
     return path;
   }
 
-  /// A quarter-day of synthetic ClarkNet traffic rendered as CLF text.
-  std::string write_synthetic(const std::string& name, double duration,
-                              double scale) {
+  /// Synthetic ClarkNet traffic rendered as CLF lines, in time order.
+  static std::vector<std::string> synthetic_lines(double duration, double scale) {
     support::Rng rng(42);
     synth::GeneratorOptions gen;
     gen.duration = duration;
@@ -76,7 +88,12 @@ class StreamingIngestTest : public ::testing::Test {
     std::vector<std::string> lines;
     for (const auto& e : synth::to_log_entries(workload.value(), rng2))
       lines.push_back(to_clf_line(e));
-    return write_file(name, lines);
+    return lines;
+  }
+
+  std::string write_synthetic(const std::string& name, double duration,
+                              double scale) {
+    return write_file(name, synthetic_lines(duration, scale));
   }
 
   std::vector<std::string> files_;
@@ -91,8 +108,9 @@ TEST_F(StreamingIngestTest, ReaderDeliversFileOrderAtAnyThreadCount) {
     opts.chunk_bytes = chunk;
     opts.executor = &ex;
     std::vector<LogEntry> entries;
-    auto stats = read_clf_file(path, opts,
-                               [&](LogEntry&& e) { entries.push_back(std::move(e)); });
+    auto stats = read_clf_records(path, opts, [&](const ClfRecord& record) {
+      entries.push_back(ClfLineParser::materialize(record));
+    });
     EXPECT_TRUE(stats.ok());
     EXPECT_GT(stats.value().chunks, 1U);
     EXPECT_EQ(stats.value().parsed, entries.size());
@@ -116,12 +134,13 @@ TEST_F(StreamingIngestTest, ReaderDeliversFileOrderAtAnyThreadCount) {
 TEST_F(StreamingIngestTest, FromClfStreamBitIdenticalToBatch) {
   const std::string path = write_synthetic("bitident", 6 * 3600.0, 0.15);
 
-  // Batch reference: parse the file in order, then from_entries.
-  std::ifstream is(path);
-  std::vector<LogEntry> entries;
-  parse_clf_stream(is, [&](LogEntry&& e) { entries.push_back(std::move(e)); });
-  auto batch = Dataset::from_entries("batch", entries);
+  // Batch reference: parse the file in order, intern, then from_requests;
+  // its sessions are pinned to the index-sort reference sessionizer.
+  auto batch = test_support::dataset_from_entries(
+      "batch", test_support::read_clf_entries(path));
   ASSERT_TRUE(batch.ok());
+  expect_same_sessions(batch.value().sessions(),
+                       test_support::sessionize_reference(batch.value().requests()));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     support::Executor ex(threads);
@@ -194,7 +213,7 @@ TEST_F(StreamingIngestTest, MalformedLinesCountedByReason) {
 
   ClfReaderOptions opts;
   std::size_t delivered = 0;
-  auto stats = read_clf_file(path, opts, [&](LogEntry&&) { ++delivered; });
+  auto stats = read_clf_records(path, opts, [&](const ClfRecord&) { ++delivered; });
   ASSERT_TRUE(stats.ok());
   const IngestStats& s = stats.value();
   EXPECT_EQ(delivered, 2U);
@@ -232,12 +251,12 @@ TEST_F(StreamingIngestTest, UnsortedInputFallsBackToBatchSessionization) {
   ASSERT_TRUE(stream.ok());
   EXPECT_FALSE(report.sessionized_incrementally);
 
-  std::ifstream is(path);
-  std::vector<LogEntry> entries;
-  parse_clf_stream(is, [&](LogEntry&& ent) { entries.push_back(std::move(ent)); });
-  auto batch = Dataset::from_entries("b", entries);
+  auto batch = test_support::dataset_from_entries(
+      "b", test_support::read_clf_entries(path));
   ASSERT_TRUE(batch.ok());
   expect_identical(batch.value(), stream.value());
+  expect_same_sessions(stream.value().sessions(),
+                       test_support::sessionize_reference(batch.value().requests()));
 }
 
 TEST_F(StreamingIngestTest, OpenFailureRecordedPerFile) {
@@ -247,22 +266,27 @@ TEST_F(StreamingIngestTest, OpenFailureRecordedPerFile) {
   auto ds = Dataset::from_clf_stream("open", paths, {}, &report);
   ASSERT_TRUE(ds.ok());  // one readable file suffices
   ASSERT_EQ(report.files.size(), 2U);
+  // An unopenable path is flagged, not reported as a silently empty parse.
   EXPECT_TRUE(report.files[0].open_failed);
   EXPECT_EQ(report.files[0].parsed, 0U);
+  EXPECT_EQ(report.files[0].path, "/nonexistent/dir/a.log");
+  EXPECT_NE(report.files[0].summary().find("OPEN FAILED"), std::string::npos);
   EXPECT_FALSE(report.files[1].open_failed);
   EXPECT_GT(report.files[1].parsed, 0U);
 
   const std::vector<std::string> all_bad = {"/nope/x.log", "/nope/y.log"};
-  EXPECT_FALSE(Dataset::from_clf_stream("none", all_bad).ok());
+  StreamIngestReport bad_report;
+  EXPECT_FALSE(Dataset::from_clf_stream("none", all_bad, {}, &bad_report).ok());
+  ASSERT_EQ(bad_report.files.size(), 2U);
+  EXPECT_TRUE(bad_report.files[0].open_failed);
+  EXPECT_TRUE(bad_report.files[1].open_failed);
 }
 
 TEST_F(StreamingIngestTest, MultiFileConcatenationMatchesSequentialBatch) {
   const std::string a = write_synthetic("multi_a", 2 * 3600.0, 0.1);
-  // Second file continues after the first (replica merge is merge_clf_files'
-  // job; the stream path is the concatenation contract).
-  std::ifstream ia(a);
-  std::vector<LogEntry> entries;
-  parse_clf_stream(ia, [&](LogEntry&& e) { entries.push_back(std::move(e)); });
+  // Second file continues after the first: concatenation stays in time
+  // order, so the sessionizer runs incrementally across the file boundary.
+  std::vector<LogEntry> entries = test_support::read_clf_entries(a);
   double last = entries.back().timestamp;
   std::vector<std::string> lines;
   LogEntry e;
@@ -278,7 +302,7 @@ TEST_F(StreamingIngestTest, MultiFileConcatenationMatchesSequentialBatch) {
   }
   const std::string b = write_file("multi_b", lines);
 
-  auto batch = Dataset::from_entries("batch", entries);
+  auto batch = test_support::dataset_from_entries("batch", entries);
   ASSERT_TRUE(batch.ok());
   support::Executor ex(4);
   StreamIngestOptions opts;
@@ -289,6 +313,7 @@ TEST_F(StreamingIngestTest, MultiFileConcatenationMatchesSequentialBatch) {
   auto stream = Dataset::from_clf_stream("stream", paths, opts, &report);
   ASSERT_TRUE(stream.ok());
   ASSERT_EQ(report.files.size(), 2U);
+  EXPECT_TRUE(report.sessionized_incrementally);
   expect_identical(batch.value(), stream.value());
 }
 
@@ -305,8 +330,9 @@ TEST_F(StreamingIngestTest, MissingTrailingNewlineAndCrlfHandled) {
   files_.push_back(path);
 
   std::vector<LogEntry> entries;
-  auto stats = read_clf_file(path, {},
-                             [&](LogEntry&& e) { entries.push_back(std::move(e)); });
+  auto stats = read_clf_records(path, {}, [&](const ClfRecord& record) {
+    entries.push_back(ClfLineParser::materialize(record));
+  });
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().parsed, 2U);
   EXPECT_EQ(stats.value().malformed, 0U);
@@ -326,6 +352,7 @@ Request req(double time, std::uint32_t client, std::uint64_t bytes = 100) {
 }
 
 TEST(StreamingSessionizer, MatchesBatchOnRandomizedSortedTraces) {
+  // "Batch" is the index-sort reference sessionizer (tests/support).
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     for (const double threshold : {30.0, 300.0, 1800.0}) {
       support::Rng rng(seed);
@@ -339,7 +366,7 @@ TEST(StreamingSessionizer, MatchesBatchOnRandomizedSortedTraces) {
 
       SessionizerOptions opts;
       opts.threshold_seconds = threshold;
-      const auto batch = sessionize(rs, opts);
+      const auto batch = test_support::sessionize_reference(rs, opts);
 
       StreamingSessionizer ss(opts);
       for (const auto& r : rs) ss.add(r);
@@ -364,7 +391,7 @@ TEST(StreamingSessionizer, TakeClosedDrainsWithoutChangingTheTable) {
 
   SessionizerOptions opts;
   opts.threshold_seconds = 50.0;
-  const auto batch = sessionize(rs, opts);
+  const auto batch = test_support::sessionize_reference(rs, opts);
 
   StreamingSessionizer ss(opts);
   std::vector<Session> drained;
@@ -492,7 +519,7 @@ TEST(IngestStatsSummary, IncludesPathAndEarlyReturnsOnOpenFailure) {
   EXPECT_EQ(failed.summary(), "/gone.log: OPEN FAILED");
 }
 
-// An on_entry callback that throws mid-drain must not abandon queued parse
+// An on_record callback that throws mid-drain must not abandon queued parse
 // tasks: the reader's scope guard drains (discarding results) so the
 // executor is quiescent and reusable after the exception escapes.
 TEST_F(StreamingIngestTest, ThrowingCallbackLeavesExecutorReusable) {
@@ -503,8 +530,8 @@ TEST_F(StreamingIngestTest, ThrowingCallbackLeavesExecutorReusable) {
   opts.executor = &ex;
 
   std::size_t clean_count = 0;
-  auto clean = read_clf_file(path, opts,
-                             [&](LogEntry&&) { ++clean_count; });
+  auto clean = read_clf_records(path, opts,
+                                [&](const ClfRecord&) { ++clean_count; });
   ASSERT_TRUE(clean.ok());
   ASSERT_GT(clean.value().chunks, 4U);
 
@@ -514,7 +541,7 @@ TEST_F(StreamingIngestTest, ThrowingCallbackLeavesExecutorReusable) {
   std::size_t seen = 0;
   EXPECT_THROW(
       {
-        auto r = read_clf_file(path, opts, [&](LogEntry&&) {
+        auto r = read_clf_records(path, opts, [&](const ClfRecord&) {
           if (++seen == 10) throw Boom();
         });
         (void)r;
@@ -524,11 +551,156 @@ TEST_F(StreamingIngestTest, ThrowingCallbackLeavesExecutorReusable) {
 
   // The pool must still work and deliver identical results afterwards.
   std::size_t after_count = 0;
-  auto after = read_clf_file(path, opts,
-                             [&](LogEntry&&) { ++after_count; });
+  auto after = read_clf_records(path, opts,
+                                [&](const ClfRecord&) { ++after_count; });
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after_count, clean_count);
   EXPECT_EQ(after.value().parsed, clean.value().parsed);
+}
+
+// ---------------------------------------------------------------------------
+// Redundant-replica logs — the paper's Figure 1 "merge the replica logs"
+// step. Interleaved files go through the same from_clf_stream call as one
+// file: the concatenation is out of order, so the sorted request table is
+// sessionized again (sort-then-stream).
+
+std::string replica_line(double offset, const std::string& client) {
+  LogEntry e;
+  e.timestamp = 1073865600.0 + offset;
+  e.client = client;
+  e.method = "GET";
+  e.path = "/";
+  e.status = 200;
+  e.bytes = 1;
+  return to_clf_line(e);
+}
+
+TEST_F(StreamingIngestTest, ReplicaSessionsReuniteAcrossFiles) {
+  // The reason Figure 1 merges first: one client alternating between two
+  // replicas must form ONE session, not two.
+  const std::string a =
+      write_file("replica_a", {replica_line(0, "u"), replica_line(120, "u")});
+  const std::string b =
+      write_file("replica_b", {replica_line(60, "u"), replica_line(180, "u")});
+  const std::vector<std::string> paths = {a, b};
+  StreamIngestReport report;
+  auto ds = Dataset::from_clf_stream("merged", paths, {}, &report);
+  ASSERT_TRUE(ds.ok());
+  EXPECT_FALSE(report.sessionized_incrementally);
+  ASSERT_EQ(ds.value().sessions().size(), 1U);
+  EXPECT_EQ(ds.value().sessions().front().requests, 4U);
+  EXPECT_DOUBLE_EQ(ds.value().sessions().front().length(), 180.0);
+}
+
+TEST_F(StreamingIngestTest, ReplicaEmptyReadableFileIsNotAnOpenFailure) {
+  const std::string empty = write_file("replica_empty", {});
+  const std::string b = write_file("replica_d", {replica_line(1000, "c")});
+  const std::vector<std::string> paths = {empty, b};
+  StreamIngestReport report;
+  auto ds = Dataset::from_clf_stream("merged", paths, {}, &report);
+  ASSERT_TRUE(ds.ok());
+  ASSERT_EQ(report.files.size(), 2U);
+  EXPECT_FALSE(report.files[0].open_failed);
+  EXPECT_EQ(report.files[0].parsed, 0U);
+  EXPECT_EQ(report.files[0].lines, 0U);
+  EXPECT_EQ(report.files[1].parsed, 1U);
+}
+
+TEST_F(StreamingIngestTest, ReplicaPerFileParsedAndMalformedCounts) {
+  const std::string a = write_file(
+      "replica_e", {replica_line(1000, "x"), "garbage line",
+                    replica_line(3000, "y")});
+  const std::string b = write_file(
+      "replica_f", {"short", replica_line(2000, "z"),
+                    "h - - [12/Jan/2004:08:30:00 +0000] \"GET /\" xx 1"});
+  const std::vector<std::string> paths = {a, b};
+  StreamIngestReport report;
+  auto ds = Dataset::from_clf_stream("merged", paths, {}, &report);
+  ASSERT_TRUE(ds.ok());
+  ASSERT_EQ(report.files.size(), 2U);
+  EXPECT_EQ(report.files[0].parsed, 2U);
+  EXPECT_EQ(report.files[0].malformed, 1U);
+  EXPECT_EQ(report.files[1].parsed, 1U);
+  EXPECT_EQ(report.files[1].malformed, 2U);
+  // The request table is the chronological union of both files.
+  ASSERT_EQ(ds.value().requests().size(), 3U);
+  EXPECT_DOUBLE_EQ(ds.value().requests()[1].time, 1073865600.0 + 2000);
+  EXPECT_EQ(ds.value().distinct_clients(), 3U);
+}
+
+TEST_F(StreamingIngestTest, InterleavedReplicasSortThenStreamMatchesMergedReference) {
+  // Six hours of traffic dealt at random onto two replica logs, each still
+  // in time order: the concatenation is out of order, so sessionization
+  // takes the sort-then-stream fallback. The result must match merging the
+  // two logs chronologically, interning in merged order and running the
+  // index-sort reference sessionizer — up to client numbering, which
+  // follows concatenation order in from_clf_stream.
+  std::vector<std::string> lines_a, lines_b;
+  support::Rng deal(17);
+  for (auto& line : synthetic_lines(6 * 3600.0, 0.15))
+    (deal.below(2) == 0 ? lines_a : lines_b).push_back(std::move(line));
+  const std::string a = write_file("interleaved_a", lines_a);
+  const std::string b = write_file("interleaved_b", lines_b);
+  const std::vector<LogEntry> entries_a = test_support::read_clf_entries(a);
+  const std::vector<LogEntry> entries_b = test_support::read_clf_entries(b);
+
+  std::vector<LogEntry> merged = entries_a;
+  merged.insert(merged.end(), entries_b.begin(), entries_b.end());
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const LogEntry& x, const LogEntry& y) {
+                     return x.timestamp < y.timestamp;
+                   });
+  auto reference = test_support::dataset_from_entries("reference", merged);
+  ASSERT_TRUE(reference.ok());
+  const auto reference_sessions =
+      test_support::sessionize_reference(reference.value().requests());
+
+  // Client id -> client string, for each side's numbering.
+  auto client_names = [](std::initializer_list<const std::vector<LogEntry>*> logs) {
+    std::unordered_map<std::string, std::uint32_t> intern;
+    std::vector<std::string> names;
+    for (const auto* log : logs)
+      for (const auto& e : *log)
+        if (intern.emplace(e.client, static_cast<std::uint32_t>(names.size())).second)
+          names.push_back(e.client);
+    return names;
+  };
+  const auto stream_names = client_names({&entries_a, &entries_b});
+  const auto reference_names = client_names({&merged});
+  using Row = std::tuple<std::string, double, double, std::uint64_t, std::uint64_t>;
+  auto rows = [](const std::vector<Session>& sessions,
+                 const std::vector<std::string>& names) {
+    std::vector<Row> out;
+    for (const auto& s : sessions)
+      out.emplace_back(names.at(s.client), s.start, s.end, s.requests, s.bytes);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto want = rows(reference_sessions, reference_names);
+  ASSERT_GT(want.size(), 100U);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    support::Executor ex(threads);
+    StreamIngestOptions opts;
+    opts.reader.chunk_bytes = 8 * 1024;
+    opts.reader.executor = &ex;
+    StreamIngestReport report;
+    const std::vector<std::string> paths = {a, b};
+    auto stream = Dataset::from_clf_stream("stream", paths, opts, &report);
+    ASSERT_TRUE(stream.ok()) << "threads=" << threads;
+    EXPECT_FALSE(report.sessionized_incrementally);
+    const Dataset& ds = stream.value();
+    EXPECT_EQ(ds.requests().size(), merged.size());
+    EXPECT_EQ(ds.distinct_clients(), reference.value().distinct_clients());
+    EXPECT_EQ(ds.total_bytes(), reference.value().total_bytes());
+    EXPECT_DOUBLE_EQ(ds.t0(), reference.value().t0());
+    EXPECT_DOUBLE_EQ(ds.t1(), reference.value().t1());
+    // Bit-identical to the reference sessionizer on its own request table,
+    // and the same session multiset as the merged reference.
+    expect_same_sessions(ds.sessions(),
+                         test_support::sessionize_reference(ds.requests()));
+    EXPECT_EQ(rows(ds.sessions(), stream_names), want) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -260,8 +260,8 @@ int main(int argc, char** argv) {
   flags.define("synthetic", "0", "generate N synthetic shards instead of reading inputs");
   flags.define("seed", "12345", "master RNG seed (also seeds synthetic shards)");
   flags.define("threads", "0", "executor threads (0 = hardware)");
-  flags.define("interval-hours", "4", "Low/Med/High interval length");
-  flags.define("hours", "3", "synthetic shard duration (hours)");
+  flags.define("interval-hours", "4.0", "Low/Med/High interval length");
+  flags.define("hours", "3.0", "synthetic shard duration (hours)");
   flags.define("scale", "0.5", "synthetic profile volume scale");
   flags.define("fast", "false", "skip Monte-Carlo branches (poisson, curvature, sweeps)");
   flags.define("json", "", "write the fleet report JSON to this path ('-' = stdout)");
